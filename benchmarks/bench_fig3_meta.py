@@ -89,7 +89,7 @@ def test_meta_block_size_bounds(benchmark):
     cfg = trie.config
     worst_owned = max(len(v) for v in trie.piece_owned.values())
     tree_sizes = [
-        trie._subtree_owned_count(root) for root in trie.master_pieces
+        trie._owned_counts(root)[root] for root in trie.master_pieces
     ]
     print(
         f"\n[E7] K_SMB={cfg.small_meta_bound} worst piece={worst_owned}; "

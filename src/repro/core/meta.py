@@ -15,12 +15,15 @@ the space budget of Lemma 4.7.
 Root pieces of meta-block trees are registered in the master-tree,
 which is replicated on every PIM module.
 
-Maintenance (paper §5.2).  Inserted blocks join the leaf piece owning
-their parent block and are replicated up the piece path.  A piece
-overflowing K_SMB is re-cut; a piece whose child outgrows the
-scapegoat factor alpha triggers a rebuild of that subtree; a meta-block
-tree outgrowing K_MB promotes the root piece's children to independent
-meta-block trees registered in the master-tree.
+Maintenance (paper §5.2, driven by ``PIMTrie``).  Inserted blocks join
+the piece owning their parent block, parent-first within a batch, and
+are replicated up the piece path; deleted blocks leave their piece and
+its ancestors.  A meta-block tree with a piece over K_SMB, a total over
+K_MB, a child piece outgrowing the scapegoat factor alpha, an emptied
+piece, or a removed root block is re-decomposed from its surviving
+records; a tree that no longer fits K_MB, or whose records fell apart
+into several components, becomes several trees registered in the
+master-tree.  All trees dirtied by one batch are rebuilt together.
 """
 
 from __future__ import annotations

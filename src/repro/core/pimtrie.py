@@ -209,13 +209,16 @@ def _structural(fn):
     instead of the cheap per-module one.
 
     Structural methods are also tracing sites: each call records a
-    ``maint.<name>`` span when a tracer is attached."""
+    ``maint.<name>`` span when a tracer is attached.  A ``reason=``
+    keyword argument (the rebuild paths take one) is copied into the
+    span's args, so a trace says why the maintenance fired."""
 
     span_name = "maint." + fn.__name__.lstrip("_")
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
-        with maybe_span(self.system, span_name, cat="maint"):
+        span_args = {"reason": kwargs["reason"]} if "reason" in kwargs else {}
+        with maybe_span(self.system, span_name, cat="maint", **span_args):
             self._maint_depth += 1
             self._dirty_structure = True
             try:
@@ -616,7 +619,12 @@ class PIMTrie:
     # ==================================================================
     # construction
     # ==================================================================
-    def _bulk_build(self, keys: list[BitString], values: Optional[list[Any]]) -> None:
+    def _bulk_build(
+        self,
+        keys: list[BitString],
+        values: Optional[list[Any]],
+        reason: str = "bulk-build",
+    ) -> None:
         data_trie = build_query_trie(keys, values)
         blocks, root_strings = extract_blocks(
             data_trie, self.config.block_bound, self.hasher, self.w
@@ -647,15 +655,17 @@ class PIMTrie:
                 self.w,
             )
         self._ordered_version += 1
-        self._rebuild_hvm()
+        self._rebuild_hvm(reason=reason)
 
     # ==================================================================
     # HVM construction / replication / maintenance
     # ==================================================================
     @_structural
-    def _rebuild_hvm(self) -> None:
+    def _rebuild_hvm(self, *, reason: str) -> None:
         """(Re)build every meta piece and the master from the record
-        mirror (bulk build, and the fallback for structural rebuilds)."""
+        mirror: bulk build, full recovery, and the fallback for a record
+        with neither a live nor an in-batch parent (``reason`` names
+        which)."""
         frees: dict[int, list] = defaultdict(list)
         for pid, m in self.piece_module.items():
             frees[m].append(_PieceOp("free", pid))
@@ -679,58 +689,64 @@ class PIMTrie:
             else:
                 kids[rec.parent_block].append(rec.block_id)
         assert root is not None, "meta-tree has no root"
-        self._build_trees_for(root, kids)
+        self._build_trees_for([(root, kids)])
         self._broadcast_master(full=True)
 
-    def _build_trees_for(self, root: int, kids: dict[int, list[int]]) -> None:
-        """Stage 1 + stage 2 decomposition for the component under
-        ``root``; ships pieces and registers tree roots in the master."""
+    def _build_trees_for(
+        self, components: list[tuple[int, dict[int, list[int]]]]
+    ) -> None:
+        """Stage 1 + stage 2 decomposition of each ``(root, kids)``
+        component; ships every piece in one store round and registers
+        the tree roots in ``master_pieces`` (the caller tells the
+        master)."""
         cfg = self.config
-        comp_members, comp_children, _ = decompose_component(
-            root, kids, cfg.meta_block_bound
-        )
         sends: dict[int, list] = defaultdict(list)
-        for comp_key, members in comp_members.items():
-            member_set = set(members)
-            local_kids = {
-                b: [c for c in kids.get(b, ()) if c in member_set] for b in members
-            }
-            pm, pc, proot = decompose_component(
-                comp_key, local_kids, cfg.small_meta_bound
+        for root, kids in components:
+            comp_members, _, _ = decompose_component(
+                root, kids, cfg.meta_block_bound
             )
-            id_of = {key: next_piece_id() for key in pm}
+            for comp_key, members in comp_members.items():
+                member_set = set(members)
+                local_kids = {
+                    b: [c for c in kids.get(b, ()) if c in member_set]
+                    for b in members
+                }
+                pm, pc, proot = decompose_component(
+                    comp_key, local_kids, cfg.small_meta_bound
+                )
+                id_of = {key: next_piece_id() for key in pm}
 
-            def subtree_records(key: int) -> list[int]:
-                out: list[int] = []
-                stack = [key]
-                while stack:
-                    k = stack.pop()
-                    out.extend(pm[k])
-                    stack.extend(pc[k])
-                return out
+                def subtree_records(key: int) -> list[int]:
+                    out: list[int] = []
+                    stack = [key]
+                    while stack:
+                        k = stack.pop()
+                        out.extend(pm[k])
+                        stack.extend(pc[k])
+                    return out
 
-            for key in pm:
-                pid = id_of[key]
-                module = self.system.random_module()
-                piece = MetaPiece(pid, module, self.w)
-                piece.root_block = key
-                owned = set(pm[key])
-                for b in subtree_records(key):
-                    piece.add_record(self._records[b], owned=b in owned)
-                piece.child_pieces = [id_of[c] for c in pc[key]]
-                piece.child_roots = {id_of[c]: c for c in pc[key]}
-                self.piece_module[pid] = module
-                self.piece_children[pid] = list(piece.child_pieces)
-                self.piece_owned[pid] = owned
-                self.piece_root_block[pid] = key
-                for b in owned:
-                    self.piece_of_block[b] = pid
-                sends[module].append(_StorePiece(piece))
-            for key in pm:
-                for c in pc[key]:
-                    self.piece_parent[id_of[c]] = id_of[key]
-            self.piece_parent.setdefault(id_of[proot], None)
-            self.master_pieces[id_of[proot]] = comp_key
+                for key in pm:
+                    pid = id_of[key]
+                    module = self.system.random_module()
+                    piece = MetaPiece(pid, module, self.w)
+                    piece.root_block = key
+                    owned = set(pm[key])
+                    for b in subtree_records(key):
+                        piece.add_record(self._records[b], owned=b in owned)
+                    piece.child_pieces = [id_of[c] for c in pc[key]]
+                    piece.child_roots = {id_of[c]: c for c in pc[key]}
+                    self.piece_module[pid] = module
+                    self.piece_children[pid] = list(piece.child_pieces)
+                    self.piece_owned[pid] = owned
+                    self.piece_root_block[pid] = key
+                    for b in owned:
+                        self.piece_of_block[b] = pid
+                    sends[module].append(_StorePiece(piece))
+                for key in pm:
+                    for c in pc[key]:
+                        self.piece_parent[id_of[c]] = id_of[key]
+                self.piece_parent.setdefault(id_of[proot], None)
+                self.master_pieces[id_of[proot]] = comp_key
         if sends:
             self.system.round("pimtrie.store", sends)
 
@@ -773,150 +789,181 @@ class PIMTrie:
             stack.extend(self.piece_children.get(p, ()))
         return out
 
-    def _subtree_owned_count(self, pid: int) -> int:
-        return sum(
-            len(self.piece_owned.get(p, ())) for p in self._tree_pieces(pid)
-        )
+    def _owned_counts(self, root_pid: int) -> dict[int, int]:
+        """Owned records under every piece of the meta-block tree rooted
+        at ``root_pid``, in one bottom-up pass (children are listed after
+        their parent in :meth:`_tree_pieces`)."""
+        counts: dict[int, int] = {}
+        for p in reversed(self._tree_pieces(root_pid)):
+            counts[p] = len(self.piece_owned.get(p, ())) + sum(
+                counts[c] for c in self.piece_children.get(p, ())
+            )
+        return counts
+
+    def _ship_piece_ops(self, op: str, items: list[tuple[int, Any, Any]]) -> None:
+        """One ``pimtrie.piece`` round of ``op`` requests for ``(pid,
+        own_item, replica_item)`` triples: ``own_item`` goes to piece
+        ``pid``, ``replica_item`` to each of its ancestor pieces."""
+        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+        for pid, mine, replica in items:
+            msgs[self.piece_module[pid]][pid].append(mine)
+            for anc in self._piece_ancestors(pid):
+                msgs[self.piece_module[anc]][anc].append(replica)
+        if msgs:
+            self.system.round(
+                "pimtrie.piece",
+                {
+                    m: [_PieceOp(op, pid, payload=items) for pid, items in per.items()]
+                    for m, per in msgs.items()
+                },
+            )
 
     @_structural
     def _hvm_add_records(self, recs: list[MetaRecord]) -> None:
         """Incremental §5.2 insert maintenance: each new record joins the
-        leaf piece owning its parent block and is replicated up the piece
-        path; overflowing or alpha-imbalanced trees are rebuilt."""
+        piece owning its parent block and is replicated up the piece
+        path.  Records go parent-first, so a block whose parent is new
+        in the same batch (a chain of re-partitioned sub-blocks) joins
+        the piece its parent just joined.  Meta-block trees that overflow
+        K_SMB or K_MB, or fall out of alpha balance, are rebuilt together
+        in :meth:`_rebuild_tree`."""
         cfg = self.config
-        sends: dict[int, list[tuple[int, list]]] = defaultdict(list)
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
-        dirty_trees: set[int] = set()
+        batch = {r.block_id: r for r in recs}
+        order: list[MetaRecord] = []
+        seen: set[int] = set()
         for rec in recs:
+            chain = []
+            cur: Optional[MetaRecord] = rec
+            while cur is not None and cur.block_id not in seen:
+                seen.add(cur.block_id)
+                chain.append(cur)
+                cur = batch.get(cur.parent_block)
+            order.extend(reversed(chain))
+
+        trees: dict[int, None] = {}  # root pieces of the touched trees
+        orphan = False
+        for rec in order:
             self._records[rec.block_id] = rec
-            parent = rec.parent_block
-            pid = self.piece_of_block.get(parent) if parent is not None else None
+            pid = self.piece_of_block.get(rec.parent_block)
             if pid is None:
-                dirty_trees.add(-1)  # force full rebuild
+                orphan = True
                 continue
             self.piece_of_block[rec.block_id] = pid
             self.piece_owned[pid].add(rec.block_id)
-            msgs[self.piece_module[pid]][pid].append((rec, True))
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append((rec, False))
-            if len(self.piece_owned[pid]) > cfg.small_meta_bound:
-                dirty_trees.add(self._tree_root_of(pid))
-        if msgs:
-            round_reqs = {
-                m: [_PieceOp("add", pid, payload=items) for pid, items in per.items()]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
-        # alpha-imbalance and K_MB checks on affected trees
-        affected_roots = {
-            self._tree_root_of(self.piece_of_block[r.block_id])
-            for r in recs
-            if r.block_id in self.piece_of_block
-        }
-        for root_pid in affected_roots:
-            total = self._subtree_owned_count(root_pid)
-            if total > cfg.meta_block_bound:
-                dirty_trees.add(root_pid)
-                continue
-            for p in self._tree_pieces(root_pid):
-                mine = self._subtree_owned_count(p)
-                for c in self.piece_children.get(p, ()):
-                    if self._subtree_owned_count(c) > cfg.alpha * mine:
-                        dirty_trees.add(root_pid)
-        if -1 in dirty_trees:
-            self._rebuild_hvm()
+            trees[self._tree_root_of(pid)] = None
+        if orphan:
+            self._rebuild_hvm(reason="orphan-record")
             return
-        for root_pid in dirty_trees:
-            self._rebuild_tree(root_pid)
+        # size and balance checks: one bottom-up count per touched tree
+        dirty: dict[int, str] = {}  # tree root piece -> rebuild reason
+        for root_pid in trees:
+            counts = self._owned_counts(root_pid)
+            if counts[root_pid] > cfg.meta_block_bound:
+                dirty[root_pid] = "mb-overflow"
+            elif any(
+                len(self.piece_owned[p]) > cfg.small_meta_bound for p in counts
+            ):
+                dirty[root_pid] = "piece-overflow"
+            elif any(
+                counts[c] > cfg.alpha * counts[p]
+                for p in counts
+                for c in self.piece_children.get(p, ())
+            ):
+                dirty[root_pid] = "alpha-imbalance"
+        self._ship_piece_ops(
+            "add",
+            [
+                (self.piece_of_block[rec.block_id], (rec, True), (rec, False))
+                for rec in order
+            ],
+        )
+        if dirty:
+            self._rebuild_tree(sorted(dirty), reason=_reasons(dirty))
 
     @_structural
     def _hvm_update_records(self, recs: list[MetaRecord]) -> None:
         """Replace existing records in place (e.g. parent pointer moved
         during block re-partitioning)."""
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
         for rec in recs:
             self._records[rec.block_id] = rec
-            pid = self.piece_of_block.get(rec.block_id)
-            if pid is None:
-                continue
-            msgs[self.piece_module[pid]][pid].append((rec, True))
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append((rec, False))
-        if msgs:
-            round_reqs = {
-                m: [_PieceOp("add", pid, payload=items) for pid, items in per.items()]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
+        self._ship_piece_ops(
+            "add",
+            [
+                (self.piece_of_block[rec.block_id], (rec, True), (rec, False))
+                for rec in recs
+                if rec.block_id in self.piece_of_block
+            ],
+        )
+        changed = {r.block_id for r in recs}
         master_updates = [
             (self._records[rb], pid)
             for pid, rb in self.master_pieces.items()
-            if any(r.block_id == rb for r in recs)
+            if rb in changed
         ]
         if master_updates:
             self._broadcast_master(add=master_updates)
 
     @_structural
     def _hvm_remove_records(self, block_ids: list[int]) -> None:
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
-        dirty = False
+        """Incremental §5.2 delete maintenance: each record leaves its
+        piece and the piece's ancestors.  A meta-block tree that loses
+        its root block, or one of whose pieces empties, is rebuilt from
+        its surviving records instead (all such trees together, in
+        :meth:`_rebuild_tree`)."""
+        dirty: dict[int, str] = {}
+        gone: list[tuple[int, int, int]] = []
         for bid in block_ids:
             self._records.pop(bid, None)
             pid = self.piece_of_block.pop(bid, None)
             if pid is None:
                 continue
             self.piece_owned[pid].discard(bid)
-            msgs[self.piece_module[pid]][pid].append(bid)
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append(bid)
-            if not self.piece_owned[pid]:
-                dirty = True
-            if pid in self.master_pieces and self.master_pieces[pid] == bid:
-                dirty = True
-        if msgs:
-            round_reqs = {
-                m: [
-                    _PieceOp("remove", pid, payload=items)
-                    for pid, items in per.items()
-                ]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
+            gone.append((pid, bid, bid))
+            if self.master_pieces.get(pid) == bid:
+                dirty[pid] = "root-removed"
+            elif not self.piece_owned[pid]:
+                dirty.setdefault(self._tree_root_of(pid), "piece-empty")
+        self._ship_piece_ops("remove", gone)
         if dirty:
-            self._rebuild_hvm()
+            self._rebuild_tree(sorted(dirty), reason=_reasons(dirty))
 
     @_structural
-    def _rebuild_tree(self, root_pid: int) -> None:
-        """Scapegoat rebuild of one meta-block tree (§5.2): free its
-        pieces, re-decompose its records, ship fresh pieces, fix master."""
-        pieces = self._tree_pieces(root_pid)
-        blocks = [b for p in pieces for b in self.piece_owned.get(p, ())]
+    def _rebuild_tree(self, root_pids: list[int], *, reason: str) -> None:
+        """Scapegoat rebuild of meta-block trees (§5.2), batched: free
+        all their pieces in one round, re-decompose each tree's surviving
+        records — one new tree per connected component — ship the fresh
+        pieces in one round, and send the master one delta."""
         frees: dict[int, list] = defaultdict(list)
-        for p in pieces:
-            frees[self.piece_module[p]].append(_PieceOp("free", p))
-            self.piece_owned.pop(p, None)
-            self.piece_children.pop(p, None)
-            self.piece_parent.pop(p, None)
-            self.piece_module.pop(p, None)
-            self.piece_root_block.pop(p, None)
+        components: list[tuple[int, dict[int, list[int]]]] = []
+        removes: list[int] = []
+        for root_pid in root_pids:
+            pieces = self._tree_pieces(root_pid)
+            blocks = [b for p in pieces for b in self.piece_owned.get(p, ())]
+            for p in pieces:
+                frees[self.piece_module[p]].append(_PieceOp("free", p))
+                self.piece_owned.pop(p, None)
+                self.piece_children.pop(p, None)
+                self.piece_parent.pop(p, None)
+                self.piece_module.pop(p, None)
+                self.piece_root_block.pop(p, None)
+            old_root_block = self.master_pieces.pop(root_pid, None)
+            if old_root_block is not None:
+                removes.append(old_root_block)
+            block_set = set(blocks)
+            # one kids map per tree, shared by the tree's components
+            kids: dict[int, list[int]] = defaultdict(list)
+            for b in blocks:
+                parent = self._records[b].parent_block
+                if parent in block_set:
+                    kids[parent].append(b)
+                else:
+                    components.append((b, kids))
         if frees:
             self.system.round("pimtrie.piece", frees)
-        old_root_block = self.master_pieces.pop(root_pid, None)
-        block_set = set(blocks)
-        kids: dict[int, list[int]] = defaultdict(list)
-        root_block = None
-        for b in blocks:
-            rec = self._records[b]
-            if rec.parent_block in block_set:
-                kids[rec.parent_block].append(b)
-            else:
-                root_block = b
-        assert root_block is not None
         before = set(self.master_pieces)
-        self._build_trees_for(root_block, kids)
+        self._build_trees_for(components)
         new_roots = set(self.master_pieces) - before
         adds = [(self._records[self.master_pieces[p]], p) for p in new_roots]
-        removes = [old_root_block] if old_root_block is not None else []
         self._broadcast_master(add=adds, remove=removes)
 
     # ==================================================================
@@ -1862,6 +1909,7 @@ class PIMTrie:
                 for rm in self.block_replicas.get(block, ()):
                     sends[rm].append(op)
             removed_total = 0
+            emptied: list[int] = []
             if sends:
                 replies = self.system.round("pimtrie.block", sends)
                 # replica log trails the committed round (see insert_batch)
@@ -1878,27 +1926,58 @@ class PIMTrie:
                         # only the primary's reply
                         if m == self.block_module[bid]:
                             removed_total += removed
+                            if nkeys == 0:
+                                emptied.append(bid)
         if removed_total:
-            self._collect_empty_blocks()
+            self._collect_empty_blocks(emptied)
         return removed_total
 
-    @_structural
-    def _collect_empty_blocks(self) -> None:
-        """Leaffix over the block tree (§5.2): drop blocks whose whole
-        subtree stores no keys; remove their mirrors and records."""
-        order = sorted(
-            self.block_keys, key=lambda b: self.block_depth[b], reverse=True
-        )
-        below: dict[int, int] = {}
-        for bid in order:
-            below[bid] = self.block_keys[bid] + sum(
-                below.get(c, 0) for c in self.block_children.get(bid, ())
-            )
+    def _doomed_blocks(self, emptied: Iterable[int]) -> list[int]:
+        """The non-root blocks whose whole subtree stores no keys, deepest
+        first (the §5.2 leaffix), found from the blocks a delete batch
+        left ``emptied``.
+
+        Every subtree held a key before the batch, so a subtree that is
+        empty now contains an emptied block: walking up from each
+        emptied block finds them all.  A block's emptiness is decided by
+        descending through key-less blocks only."""
+        empty: dict[int, bool] = {}
+
+        def subtree_empty(bid: int) -> bool:
+            stack = [bid]
+            while stack:
+                b = stack[-1]
+                if b in empty:
+                    stack.pop()
+                elif self.block_keys[b]:
+                    empty[b] = False
+                    stack.pop()
+                else:
+                    kids = self.block_children.get(b, ())
+                    todo = [c for c in kids if c not in empty]
+                    if todo:
+                        stack.extend(todo)
+                    else:
+                        empty[b] = all(empty[c] for c in kids)
+                        stack.pop()
+            return empty[bid]
+
+        for bid in emptied:
+            cur = bid
+            while self.block_parent.get(cur) is not None and subtree_empty(cur):
+                cur = self.block_parent[cur]
         doomed = [
-            bid
-            for bid in order
-            if below.get(bid, 0) == 0 and self.block_parent.get(bid) is not None
+            b for b, e in empty.items()
+            if e and self.block_parent.get(b) is not None
         ]
+        doomed.sort(key=lambda b: self.block_depth[b], reverse=True)
+        return doomed
+
+    @_structural
+    def _collect_empty_blocks(self, emptied: list[int]) -> None:
+        """Drop the blocks whose whole subtree stores no keys (see
+        :meth:`_doomed_blocks`); remove their mirrors and records."""
+        doomed = self._doomed_blocks(emptied)
         if not doomed:
             return
         doomed_set = set(doomed)
@@ -2288,7 +2367,7 @@ class PIMTrie:
         self._query_strings = {}
         self._maint_depth = 0
         self._dirty_structure = False
-        self._bulk_build(keys, vals)
+        self._bulk_build(keys, vals, reason="recovery")
 
     # ==================================================================
     # introspection
@@ -2443,6 +2522,12 @@ class PIMTrie:
 # ----------------------------------------------------------------------
 # module-local helpers used by kernels
 # ----------------------------------------------------------------------
+def _reasons(dirty: dict[int, str]) -> str:
+    """The ``reason`` span arg of one batched tree rebuild: the distinct
+    triggers of its trees, sorted and comma-joined."""
+    return ",".join(sorted(set(dirty.values())))
+
+
 def _graft_mirror(
     trie: PatriciaTrie, rel: BitString, child_block_id: int
 ) -> None:
