@@ -14,6 +14,14 @@ by **block base prefix**, and the controller reacts online:
   (``dereplicate_block``) and, for blocks this controller previously
   split, fold the children back in (``merge_block``).
 
+Shares are scanned for all live blocks at once: each block's sketch row
+indices are cached (a base is hashed once in its lifetime, and the
+cache is pruned to the live blocks every step), one numpy gather over
+the counter matrix plus a row-wise min yields every estimate, and only
+shares at or above ``hot_fraction`` are kept and sorted.  The result
+equals :meth:`AdaptiveController.block_share` per block float for
+float, so the actions are the ones a per-block loop would take.
+
 Every action runs inside an ``adapt.*`` span (cat ``"adapt"``), so the
 obs layer attributes the maintenance rounds to the controller and the
 span-sum invariant stays byte-exact.  Decisions use only host-side
@@ -36,6 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
+from ..bits import BitString
 from ..obs.tracer import maybe_span
 from .sketch import CountMinSketch
 
@@ -104,6 +115,9 @@ class AdaptiveController:
         }
         #: per-step action log: (epoch, kind, block_id, detail)
         self.log: list[tuple[int, str, int, Any]] = []
+        #: live block id -> (base, sketch row indices): each base is
+        #: hashed once in its lifetime, not once per step
+        self._rows: dict[int, tuple[BitString, list[int]]] = {}
 
     # ------------------------------------------------------------------
     # observe
@@ -134,6 +148,42 @@ class AdaptiveController:
         if base is None:
             return 0.0
         return self.sketch.estimate(base) / self.sketch.total
+
+    def _hot_shares(self) -> list[tuple[float, int]]:
+        """``(share, bid)`` of every live block whose share is at least
+        ``hot_fraction``, sorted by ``(-share, bid)``.
+
+        Equal to :meth:`block_share` on each block, but computed with
+        one gather-and-min over the sketch rows for all blocks at once,
+        from row indices cached per live block (pruned each step to the
+        blocks still live)."""
+        sketch, total = self.sketch, self.sketch.total
+        roots = self.trie._root_strings
+        old, rows = self._rows, {}
+        bids = list(self.trie.block_module)
+        stale: list[tuple[int, BitString]] = []
+        for bid in bids:
+            # every live block has a base (set and dropped together)
+            base = roots[bid]
+            ent = old.get(bid)
+            if ent is None or ent[0] != base:
+                stale.append((bid, base))
+            else:
+                rows[bid] = ent
+        if stale:
+            fresh = sketch.indices_many([base for _, base in stale]).tolist()
+            for (bid, base), idx in zip(stale, fresh):
+                rows[bid] = (base, idx)
+        self._rows = rows
+        if total > 0.0 and bids:
+            idx = np.array([rows[b][1] for b in bids], dtype=np.intp)
+            shares = (sketch.estimate_rows(idx) / total).tolist()
+        else:
+            shares = [0.0] * len(bids)
+        hot = self.policy.hot_fraction
+        out = [(s, b) for s, b in zip(shares, bids) if s >= hot]
+        out.sort(key=lambda sb: (-sb[0], sb[1]))
+        return out
 
     # ------------------------------------------------------------------
     # act
@@ -216,12 +266,7 @@ class AdaptiveController:
         self.epoch += 1
         actions = 0
         if self.sketch.total >= p.min_window:
-            shares = [
-                (self.block_share(bid), bid)
-                for bid in list(self.trie.block_module)
-            ]
-            shares.sort(key=lambda sb: (-sb[0], sb[1]))
-            for share, bid in shares:
+            for share, bid in self._hot_shares():
                 if actions >= p.max_actions_per_epoch:
                     break
                 if share >= p.hot_fraction:

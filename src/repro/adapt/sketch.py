@@ -36,7 +36,7 @@ simulator's books.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -135,6 +135,29 @@ class CountMinSketch:
         return float(
             min(self.counts[r, idx] for r, idx in enumerate(self._indices(key)))
         )
+
+    def indices_many(
+        self, keys: Sequence[Union[BitString, int]]
+    ) -> np.ndarray:
+        """Row indices of each key as an ``(n, depth)`` int array:
+        entry ``[i, r]`` is key ``i``'s counter column in row ``r``.
+        Hash once, then estimate as often as needed with
+        :meth:`estimate_rows`."""
+        return np.array(
+            [self._indices(k) for k in keys], dtype=np.intp
+        ).reshape(-1, self.depth)
+
+    def estimate_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Point estimates for precomputed :meth:`indices_many` rows:
+        one gather over the counter matrix and a row-wise min, equal
+        float-for-float to :meth:`estimate` on each key."""
+        return self.counts[np.arange(self.depth), idx].min(axis=1)
+
+    def estimate_many(
+        self, keys: Sequence[Union[BitString, int]]
+    ) -> np.ndarray:
+        """Point estimates of many keys at once (see :meth:`estimate_rows`)."""
+        return self.estimate_rows(self.indices_many(keys))
 
     def decay(self, factor: float = None) -> None:
         """Age the window: multiply every counter by ``factor``

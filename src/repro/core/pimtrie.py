@@ -50,7 +50,7 @@ from ..columnar import (
     respan_columnar,
     span_columnar,
 )
-from ..ordered import OrderedSnapshot
+from ..ordered import REMOVED, OrderedSnapshot
 from .blocks import DataBlock, extract_blocks
 from .config import PIMTrieConfig
 from .hashmatch import CollisionLog, MatchCut, RecordTable, hash_match_fragment
@@ -234,16 +234,44 @@ def _structural(fn):
     return wrapper
 
 
-def _traced_op(name):
+def _check_keys(op: str, keys: Sequence[Any]) -> None:
+    """Reject a batch holding anything but :class:`BitString` keys."""
+    for i, key in enumerate(keys):
+        if not isinstance(key, BitString):
+            raise TypeError(
+                f"{op}: key {i} is {type(key).__name__}, expected BitString"
+            )
+
+
+def _check_bounds(op: str, bounds: Sequence[Any]) -> None:
+    """Reject a range batch holding anything but ``(lo, hi)`` pairs of
+    :class:`BitString` bounds."""
+    for i, pair in enumerate(bounds):
+        if not (
+            isinstance(pair, (tuple, list))
+            and len(pair) == 2
+            and isinstance(pair[0], BitString)
+            and isinstance(pair[1], BitString)
+        ):
+            raise TypeError(
+                f"{op}: bound {i} is {type(pair).__name__}, expected a "
+                f"(lo, hi) pair of BitStrings"
+            )
+
+
+def _traced_op(name, check=_check_keys):
     """Wrap a public batch operation in an ``op.<name>`` span.
 
-    The first positional argument is the batch; its length is recorded
-    as the span's ``batch`` arg.  With no tracer attached the wrapper
-    is one attribute check."""
+    The first positional argument is the batch; ``check`` validates it
+    at the boundary (a typed error naming the offending index, before
+    any span opens or round runs), and its length is recorded as the
+    span's ``batch`` arg.  With no tracer attached the wrapper is the
+    check plus one attribute check."""
 
     def deco(fn):
         @functools.wraps(fn)
         def wrapper(self, batch, *args, **kwargs):
+            check(fn.__name__, batch)
             obs = getattr(self.system, "obs", None)
             if obs is None:
                 return fn(self, batch, *args, **kwargs)
@@ -338,6 +366,10 @@ class PIMTrie:
         #: makes ordered answers invisible to repro.adapt).
         self._ordered_version = 0
         self._ordered_cache: Optional[OrderedSnapshot] = None
+        #: committed key changes since the cached snapshot's version
+        #: (key -> new value, or ``REMOVED``); recorded only while a
+        #: snapshot is cached, so write-only traffic keeps it empty
+        self._ordered_delta: dict[BitString, Any] = {}
 
         self._register_kernels()
         keys = list(keys or [])
@@ -655,6 +687,7 @@ class PIMTrie:
                 self.w,
             )
         self._ordered_version += 1
+        self._drop_ordered_cache()
         self._rebuild_hvm(reason=reason)
 
     # ==================================================================
@@ -1602,6 +1635,11 @@ class PIMTrie:
                     for rel, value in items:
                         log[rel] = value
                 self._ordered_version += 1
+                self._note_ordered_delta(
+                    (self._root_strings[block] + rel, value)
+                    for block, items in by_block.items()
+                    for rel, value in items
+                )
                 for reply in replies.values():
                     for (bid, nkeys, words) in reply:
                         self.block_keys[bid] = nkeys
@@ -1919,6 +1957,11 @@ class PIMTrie:
                         for rel in items:
                             log.pop(rel, None)
                 self._ordered_version += 1
+                self._note_ordered_delta(
+                    (self._root_strings[block] + rel, REMOVED)
+                    for block, items in by_block.items()
+                    for rel in items
+                )
                 for m, reply in replies.items():
                     for (bid, nkeys, _words, removed) in reply:
                         self.block_keys[bid] = nkeys
@@ -2152,11 +2195,38 @@ class PIMTrie:
         snap = self._ordered_cache
         if snap is None or snap.version != self._ordered_version:
             with maybe_span(self.system, "ordered.snapshot", cat="phase"):
-                items = self.replica_log_items()
-                self.system.tick_cpu(max(1, len(items)))
-                snap = OrderedSnapshot(items, version=self._ordered_version)
+                if snap is None:
+                    snap = OrderedSnapshot(
+                        self.replica_log_items(), version=self._ordered_version
+                    )
+                else:
+                    snap = snap.apply(
+                        self._ordered_delta, version=self._ordered_version
+                    )
+                self.system.tick_cpu(max(1, len(snap)))
             self._ordered_cache = snap
+            self._ordered_delta = {}
         return snap
+
+    def _note_ordered_delta(
+        self, changes: Iterable[tuple[BitString, Any]]
+    ) -> None:
+        """Record committed key changes for the next delta-built
+        snapshot.  Without a cached snapshot there is nothing to apply
+        them to; once the delta outgrows the snapshot a full build is
+        the cheaper path, so the cache is dropped instead."""
+        snap = self._ordered_cache
+        if snap is None:
+            return
+        self._ordered_delta.update(changes)
+        if len(self._ordered_delta) > len(snap):
+            self._drop_ordered_cache()
+
+    def _drop_ordered_cache(self) -> None:
+        """Forget the cached snapshot and its delta; the next ordered
+        read does a full build from the replica log."""
+        self._ordered_cache = None
+        self._ordered_delta = {}
 
     @_traced_op("op.pred")
     def predecessor_batch(
@@ -2184,7 +2254,7 @@ class PIMTrie:
             self.system.tick_cpu(len(keys))
             return [snap.successor(k) for k in keys]
 
-    @_traced_op("op.range")
+    @_traced_op("op.range", check=_check_bounds)
     def range_batch(
         self,
         bounds: Sequence[tuple[BitString, BitString]],
