@@ -30,7 +30,6 @@ bottlenecks show up directly in the simulated percentiles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -42,6 +41,7 @@ from ..core import PIMTrie, PIMTrieConfig
 from ..perf import reset_id_counters
 from ..pim import PIMSystem
 from ..serve import ServiceReport, policy_from_name, replay_direct, trace_from_stream
+from ..serve.bench import answers_digest
 from ..serve.server import EpochServer
 from ..workloads import (
     diurnal_stream,
@@ -95,18 +95,6 @@ class _DictOracle:
             )
             for p in prefixes
         ]
-
-
-def answers_digest(report: ServiceReport) -> str:
-    """Order-independent digest of the completed answers."""
-    blob = repr(
-        [
-            (c.seq, c.kind, c.reply)
-            for c in sorted(report.completed, key=lambda c: c.seq)
-            if c.ok
-        ]
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _pattern_stream(pattern: str, *, n_ops, length, rate, seed):

@@ -28,7 +28,6 @@ units), so the JSON is byte-deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -36,7 +35,8 @@ from typing import Any, Optional
 from ..core import PIMTrie, PIMTrieConfig
 from ..perf import reset_id_counters
 from ..pim import PIMSystem
-from ..serve import ServiceReport, make_trace, policy_from_name, replay_direct
+from ..serve import make_trace, policy_from_name, replay_direct
+from ..serve.bench import answers_digest
 from ..workloads import uniform_keys
 from .cluster import PIMCluster
 from .plan import RACK_LOSS_SCENARIOS, rack_loss_schedule
@@ -50,24 +50,6 @@ FULL = {"P_rack": 4, "resident": 384, "n_ops": 256, "length": 64,
 SMOKE = {"P_rack": 4, "resident": 128, "n_ops": 96, "length": 64,
          "rate": 0.25}
 POLICY = "deadline:20"
-
-
-def answers_digest(report: ServiceReport) -> str:
-    """Order-independent digest of the successful answers.
-
-    Stable across shard counts, policies, and replication factors by
-    construction — the determinism invariant E17 asserts.  Failed ops
-    are excluded (availability is reported separately), so fault-free
-    configurations of the same trace share one digest.
-    """
-    blob = repr(
-        [
-            (c.seq, c.kind, c.reply)
-            for c in sorted(report.completed, key=lambda c: c.seq)
-            if c.ok
-        ]
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def bench_cluster_run(

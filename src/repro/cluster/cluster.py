@@ -50,6 +50,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 from ..bits import BitString
 from ..core import PIMTrie, PIMTrieConfig
+from ..core.pimtrie import _check_bounds, _check_keys
 from ..obs import Tracer, maybe_span
 from ..pim import MetricsSnapshot, PIMSystem
 from .sharding import ShardingPolicy, derive_rack_seed
@@ -58,6 +59,15 @@ __all__ = ["PIMCluster", "Rack", "ShardUnavailable"]
 
 #: router CPU work per (op, target-shard) routing decision
 _ROUTE_TICKS = 1
+
+#: op kind -> the batch entry point named in boundary errors
+_OP_NAMES = {
+    "lcp": "lcp_batch", "lookup": "lookup_batch",
+    "insert": "insert_batch", "delete": "delete_batch",
+    "subtree": "subtree_batch", "pred": "predecessor_batch",
+    "succ": "successor_batch", "range": "range_batch",
+    "count": "prefix_count_batch", "topk": "topk_batch",
+}
 
 
 class ShardUnavailable(RuntimeError):
@@ -369,8 +379,14 @@ class PIMCluster:
         ``keys`` entries are ``(lo, hi)`` bound pairs for ``range`` and
         plain keys otherwise; ``extra`` carries the per-call scalar of
         the ordered kinds (``range``'s limit, ``topk``'s k).
+
+        A batch holding anything but :class:`BitString` keys (or
+        ``(lo, hi)`` pairs of them) raises the same ``TypeError`` a
+        single trie's entry point raises, before any routing or write.
         """
         keys = list(keys)
+        check = _check_bounds if kind == "range" else _check_keys
+        check(_OP_NAMES.get(kind, kind), keys)
         vals = list(values) if values is not None else [None] * len(keys)
         sends: dict[int, list[int]] = {}
         ok = [True] * len(keys)

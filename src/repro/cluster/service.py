@@ -1,58 +1,65 @@
 """Serve-layer frontend for a cluster: per-shard epochs, rack-loss
 injection, failover availability.
 
-:class:`ClusterService` is the cluster sibling of
-:class:`repro.serve.EpochServer`: the same arrival loop, the same
-continuous-batching scheduler and admission control, the same
-same-kind segment decomposition (:func:`repro.serve.server.segments`)
-— but each epoch fans out through the :class:`PIMCluster` router, so
-one service epoch becomes per-shard sub-epochs executing on
-independent racks.
+:class:`ClusterService` is :class:`repro.serve.EpochServer` with a
+cluster router as its executor.  It runs on the server's one epoch
+loop — the same arrival loop, continuous-batching scheduler, admission
+control, pipeline clock, write-hazard drain rule and closed-loop
+``adaptive:*`` knob tuning — and overrides only the executor hooks, so
+each service epoch fans out through the :class:`PIMCluster` router
+into per-shard sub-epochs on independent racks:
 
-**Service model.**  Racks run in parallel, so an epoch's simulated
-service time is the *maximum* over racks of that rack's
-``round_time * io_rounds + word_time * io_time`` delta — the critical
-path — rather than the sum.  (The epoch's :class:`EpochRecord` still
-carries the summed deltas, merged via ``MetricsSnapshot.merge``, for
-throughput accounting.)
+* **segments** run through the router's ``_execute``; an op whose
+  shard has no surviving replica answers
+  :data:`~repro.serve.slo.OP_FAILED` (the availability metric of
+  ``BENCH_cluster.json``) instead of retrying;
+* **service model** — racks run in parallel, so an epoch's module-round
+  time is the *maximum* over racks of that rack's
+  ``round_time * io_rounds + word_time * io_time`` delta (the critical
+  path), while its :class:`~repro.serve.slo.EpochRecord` carries the
+  summed deltas, merged via ``MetricsSnapshot.merge``, for throughput
+  accounting;
+* **rack loss** — a :class:`~repro.cluster.plan.RackLossPlan` schedules
+  whole-rack deaths on the epoch clock.  A loss fires *inside* its
+  epoch, immediately before the first segment that routes work to the
+  doomed rack's shard (losses whose shard stays idle fire at epoch
+  end), so the remainder of the epoch exercises failover read-routing,
+  not a clean restart;
+* **proactive heal** — dead slots are rebuilt by a
+  :meth:`PIMCluster.rebalance` sweep at the next epoch launch (the
+  cluster analogue of the server's proactive module recovery), and the
+  rebuild rounds are charged to that epoch's service time.
 
-**Rack loss.**  A :class:`~repro.cluster.plan.RackLossPlan` schedules
-whole-rack deaths on the epoch clock.  A loss fires *inside* its epoch,
-immediately before the first segment that routes work to the doomed
-rack's shard (losses whose shard stays idle fire at epoch end) — so
-the remainder of the epoch exercises failover read-routing, not a
-clean restart.  Dead slots are healed by a proactive
-:meth:`PIMCluster.rebalance` sweep at the next epoch launch (the
-cluster analogue of ``EpochServer``'s proactive module recovery);
-rebuild rounds are charged to that epoch's service time.  Operations
-that need a shard with no surviving replica complete with
-:data:`~repro.serve.slo.OP_FAILED` — the availability metric of
-``BENCH_cluster.json``.
+The cluster has no single PIM system, so the loop's epoch, phase and
+``sched.*`` spans are no-ops here; each rack's own tracer still sees
+the router's per-rack spans.
 """
 
 from __future__ import annotations
 
-import time as _time
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from ..pim import MetricsSnapshot
-from ..serve.scheduler import ContinuousBatchingScheduler, SchedulerPolicy
-from ..serve.server import (
-    ORDERED_KINDS,
-    WRITE_KINDS,
-    decide_cut,
-    segments,
-)
-from ..serve.slo import OP_FAILED, CompletedOp, EpochRecord, ServiceReport
-from ..serve.trace import Operation, Trace
+from ..serve.scheduler import SchedulerPolicy
+from ..serve.server import WRITE_KINDS, EpochServer, grouped_by_param
+from ..serve.slo import OP_FAILED, EpochRecord
+from ..serve.trace import Operation
 from .cluster import PIMCluster
 from .plan import RackLossPlan
 
 __all__ = ["ClusterService"]
 
 
-class ClusterService:
-    """Continuous-batching frontend over a :class:`PIMCluster`."""
+class ClusterService(EpochServer):
+    """Continuous-batching frontend over a :class:`PIMCluster`.
+
+    ``adapt`` is a :class:`repro.adapt.ClusterAdaptiveController`
+    (one controller and sketch per rack).
+    """
+
+    #: no single system to trace (see the module docstring)
+    system = None
 
     def __init__(
         self,
@@ -67,38 +74,22 @@ class ClusterService:
         prep_time: float = 0.0,
         asm_time: float = 0.0,
     ):
-        if round_time < 0 or word_time < 0:
-            raise ValueError("service-model coefficients must be >= 0")
-        if prep_time < 0 or asm_time < 0:
-            raise ValueError("host-phase costs must be >= 0")
+        super().__init__(
+            cluster, policy, round_time=round_time, word_time=word_time,
+            adapt=adapt, pipelined=pipelined, prep_time=prep_time,
+            asm_time=asm_time,
+        )
         self.cluster = cluster
-        self.policy = policy
-        self.round_time = round_time
-        self.word_time = word_time
-        #: two-stage pipelined BSP on the router's host: prep of epoch
-        #: k+1 overlaps the racks' rounds of epoch k, with the same
-        #: write/recovery drain-hazard rule as EpochServer
-        self.pipelined = pipelined
-        self.prep_time = prep_time
-        self.asm_time = asm_time
         self.plan = plan if plan is not None else RackLossPlan.empty()
-        #: optional repro.adapt ClusterAdaptiveController stepped once
-        #: per epoch (per-rack sketches; see adapt.controller)
-        self.adapt = adapt
 
     # ------------------------------------------------------------------
-    def _rack_service(self, delta: MetricsSnapshot) -> float:
-        return self.round_time * delta.io_rounds + self.word_time * delta.io_time
-
-    def _apply_losses(
-        self, pending: set, shards: set[int], causes: list[str]
-    ) -> None:
-        """Fire the pending losses whose shard is in ``shards``."""
-        for shard, slot in sorted(pending):
+    def _apply_losses(self, ep: SimpleNamespace, shards: set[int]) -> None:
+        """Fire this epoch's pending losses whose shard is in ``shards``."""
+        for shard, slot in sorted(ep.losses):
             if shard in shards:
                 if self.cluster.fail_rack(shard, slot) is not None:
-                    causes.append(f"rack-loss:{shard}.{slot}")
-                pending.discard((shard, slot))
+                    ep.causes.append(f"rack-loss:{shard}.{slot}")
+                ep.losses.discard((shard, slot))
 
     def _segment_shards(self, kind: str, ops: list[Operation]) -> set[int]:
         # range ops route on their (lo, hi) interval — lo is the op key,
@@ -112,231 +103,86 @@ class ClusterService:
             )
         }
 
-    def _run_segment(self, kind: str, ops: list[Operation]) -> list[Any]:
-        if kind in ("range", "topk"):
-            # per-op limit / k rides in the value; group same-parameter
-            # runs onto one router call each (host-side reads — grouping
-            # has no effect on round structure)
-            replies: list[Any] = [None] * len(ops)
-            oks: list[bool] = [True] * len(ops)
-            groups: dict[Any, list[int]] = {}
-            for i, op in enumerate(ops):
-                extra = op.value[1] if kind == "range" else op.value
-                groups.setdefault(extra, []).append(i)
-            for extra, idxs in groups.items():
-                keys = [
-                    (ops[i].key, ops[i].value[0]) if kind == "range"
-                    else ops[i].key
-                    for i in idxs
-                ]
-                sub, ok, _ = self.cluster._execute(kind, keys, None, extra=extra)
-                for j, i in enumerate(idxs):
-                    replies[i] = sub[j]
-                    oks[i] = ok[j]
-            return [
-                r if good else OP_FAILED for r, good in zip(replies, oks)
-            ]
-        keys = [op.key for op in ops]
-        values = [op.value for op in ops] if kind == "insert" else None
-        replies, ok, _ = self.cluster._execute(kind, keys, values)
-        if kind in ("insert", "delete"):
-            replies = [True] * len(ops)
-        return [
-            r if good else OP_FAILED for r, good in zip(replies, ok)
-        ]
-
     # ------------------------------------------------------------------
-    def run(self, trace: Trace) -> ServiceReport:
-        """Drive the event loop over ``trace``; returns the report."""
-        cluster = self.cluster
-        ops = trace.ops
-        n = len(ops)
-        policy = self.policy
-        sched = ContinuousBatchingScheduler(policy)
+    # executor hooks (see EpochServer)
+    # ------------------------------------------------------------------
+    def _degraded(self) -> bool:
+        return self.cluster.degraded
 
-        completed: list[CompletedOp] = []
-        epochs: list[EpochRecord] = []
-        rounds_at_admit: dict[int, int] = {}
-        wall_at_admit: dict[int, float] = {}
-        cum_rounds = 0
-        cum_wall = 0.0
-        failed_total = 0
-        losses_fired = 0
-        host_free = 0.0
-        module_free = 0.0
-        hazard_until = 0.0
-        idx = [0]
-        mark_all = cluster.mark()
+    def _begin_epoch(self, ep: SimpleNamespace) -> None:
+        ep.losses = {
+            (loss.shard, loss.replica) for loss in self.plan.for_epoch(ep.index)
+        }
+        # replacement racks for slots lost in earlier epochs come up
+        # before new work launches
+        if self.plan.rebalance and self.cluster.degraded:
+            ep.recovery_rounds += self.cluster.rebalance()
 
-        def admit(op: Operation) -> None:
-            if sched.admit(op, degraded=cluster.degraded):
-                rounds_at_admit[op.seq] = cum_rounds
-                wall_at_admit[op.seq] = cum_wall
-            idx[0] += 1
+    def _run_segment(
+        self, kind: str, ops: list[Operation], ep: SimpleNamespace
+    ) -> list[Any]:
+        # a death scheduled for this epoch strikes the moment its shard
+        # is about to run — mid-epoch, not between
+        self._apply_losses(ep, self._segment_shards(kind, ops))
+        values = [op.value for op in ops] if kind == "insert" else None
 
-        while idx[0] < n or sched.pending:
-            if not sched.pending:
-                admit(ops[idx[0]])
-                continue
+        def route(keys: list[Any], extra: Optional[int] = None) -> list[Any]:
+            replies, ok, _ = self.cluster._execute(kind, keys, values, extra=extra)
+            if kind in WRITE_KINDS:
+                replies = [True] * len(keys)
+            return [r if good else OP_FAILED for r, good in zip(replies, ok)]
 
-            # launch-time decision: shared with EpochServer (the
-            # scheduler contract is one audited implementation, only
-            # the executor differs).  Same hazard rule as EpochServer:
-            # only a prep that reads index state (ordered-kind ops whose
-            # per-rack snapshots fan-in consults) waits for the drain
-            reads_state = self.pipelined and any(
-                op.kind in ORDERED_KINDS for op in sched.pending
-            )
-            ready = max(host_free, hazard_until) if reads_state else host_free
-            launch = decide_cut(sched, ops, idx, ready, admit)
+        if kind in ("range", "topk"):
+            return grouped_by_param(kind, ops, route)
+        return route([op.key for op in ops])
 
-            depth = len(sched.pending)
-            batch = sched.take_epoch(launch)
-            assert batch, "scheduler cut an empty epoch"
-            prep_dur = self.prep_time * len(batch)
-            asm_dur = self.asm_time * len(batch)
+    def _end_epoch(self, ep: SimpleNamespace) -> None:
+        # losses whose shard saw no work this epoch still happen
+        self._apply_losses(ep, set(range(self.cluster.num_shards)))
 
-            e = len(epochs)
-            pending = {
-                (loss.shard, loss.replica) for loss in self.plan.for_epoch(e)
-            }
-            causes: list[str] = []
-            recovery_rounds = 0
-            mark = cluster.mark()
-            t0 = _time.perf_counter()
-
-            # proactive heal: replacement racks for slots lost in
-            # earlier epochs come up before new work launches, so their
-            # rebuild rounds land in this epoch's service time
-            if self.plan.rebalance and cluster.degraded:
-                recovery_rounds += cluster.rebalance()
-
-            replies: list[Any] = []
-            kinds: list[str] = []
-            for kind, seg in segments(batch):
-                kinds.append(kind)
-                # a death scheduled for this epoch strikes the moment
-                # its shard is about to run — mid-epoch, not between
-                self._apply_losses(
-                    pending, self._segment_shards(kind, seg), causes
-                )
-                replies.extend(self._run_segment(kind, seg))
-            # losses whose shard saw no work this epoch still happen
-            self._apply_losses(
-                pending, set(range(cluster.num_shards)), causes
-            )
-            losses_fired += len(causes)
-            adapt_acted = False
-            if self.adapt is not None:
-                # per-rack adaptive maintenance inside the epoch's
-                # metrics window — billed to the racks it rebalances
-                stats = self.adapt.step()
-                if isinstance(stats, dict) and any(
-                    stats.get(k)
-                    for k in (
-                        "actions", "split", "replicate", "dereplicate",
-                        "merge",
-                    )
-                ):
-                    adapt_acted = True
-
-            wall = _time.perf_counter() - t0
-            deltas = cluster.delta_by_rack(mark)
-            merged = MetricsSnapshot.merge(
-                *(deltas[u] for u in sorted(deltas))
-            )
-            # racks run in parallel: the epoch's module-round phase
-            # takes as long as its slowest rack (recovery included)
-            module = max(
-                (self._rack_service(d) for d in deltas.values()),
-                default=0.0,
-            )
-            ep_failed = sum(1 for r in replies if r is OP_FAILED)
-            failed_total += ep_failed
-            if self.pipelined:
-                rounds_start = max(launch + prep_dur, module_free)
-                completion = rounds_start + module + asm_dur
-                module_free = rounds_start + module
-                host_free = rounds_start
-                if (
-                    any(k in WRITE_KINDS for k in kinds)
-                    or causes or recovery_rounds or ep_failed or adapt_acted
-                ):
-                    # write/recovery hazard: a state-reading prep must
-                    # wait until this epoch's rounds end (cluster state
-                    # is final then; assembly only merges replies)
-                    hazard_until = module_free
-            else:
-                rounds_start = launch + prep_dur
-                completion = rounds_start + module + asm_dur
-                host_free = completion
-            service = completion - launch
-            cum_rounds += merged.io_rounds
-            cum_wall += wall
-            epochs.append(
-                EpochRecord(
-                    index=e, launch=launch, service=service,
-                    completion=completion, size=len(batch),
-                    kinds=tuple(kinds), queue_depth=depth,
-                    io_rounds=merged.io_rounds, io_time=merged.io_time,
-                    communication=merged.total_communication,
-                    pim_time=merged.pim_time, wall_seconds=wall,
-                    degraded=bool(causes or recovery_rounds or ep_failed),
-                    retries=0,
-                    recovery_rounds=recovery_rounds,
-                    causes=tuple(causes),
-                    prep=prep_dur, asm=asm_dur, rounds_start=rounds_start,
-                )
-            )
-            for op, reply in zip(batch, replies):
-                completed.append(
-                    CompletedOp(
-                        seq=op.seq, client_id=op.client_id, kind=op.kind,
-                        arrival=op.time, launch=launch,
-                        completion=completion, epoch=e, reply=reply,
-                        latency_rounds=cum_rounds - rounds_at_admit[op.seq],
-                        wall_seconds=cum_wall - wall_at_admit[op.seq],
-                        ok=reply is not OP_FAILED,
-                    )
-                )
-
-        rebuilds = sum(
-            1 for ev in cluster.events if ev["event"] == "rebuild"
+    def _adapt_step(self, ep: SimpleNamespace) -> bool:
+        # per-rack adaptive maintenance inside the epoch's metrics
+        # window — billed to the racks it rebalances
+        stats = self.adapt.step()
+        return isinstance(stats, dict) and any(
+            stats.get(k)
+            for k in ("actions", "split", "replicate", "dereplicate", "merge")
         )
-        fault_stats = (
+
+    def _mark(self) -> Any:
+        return self.cluster.mark()
+
+    def _delta(self, mark: Any) -> MetricsSnapshot:
+        return self.cluster.delta(mark)
+
+    def _measure(
+        self, mark: Any, ep: SimpleNamespace
+    ) -> tuple[MetricsSnapshot, float]:
+        deltas = self.cluster.delta_by_rack(mark)
+        merged = MetricsSnapshot.merge(*(deltas[u] for u in sorted(deltas)))
+        # racks run in parallel: the epoch's module-round phase takes as
+        # long as its slowest rack (recovery included)
+        return merged, max(
+            (self.service_time(d) for d in deltas.values()), default=0.0
+        )
+
+    def _report_fields(self, epochs: list[EpochRecord]) -> tuple[dict, dict]:
+        cluster = self.cluster
+        losses = sum(len(e.causes) for e in epochs)
+        faults = (
             {
-                "rack_losses": losses_fired,
-                "rebuilds": rebuilds,
+                "rack_losses": losses,
+                "rebuilds": sum(
+                    1 for ev in cluster.events if ev["event"] == "rebuild"
+                ),
                 "lost_shards": sorted(cluster.lost_shards),
             }
-            if losses_fired
+            if losses
             else {}
         )
-        return ServiceReport(
-            policy=policy.describe(),
-            trace=trace.name,
-            num_ops=n,
-            completed=completed,
-            dropped=len(sched.dropped),
-            epochs=epochs,
-            metrics=cluster.delta(mark_all),
-            round_time=self.round_time,
-            word_time=self.word_time,
-            max_batch=policy.max_batch,
-            pipelined=self.pipelined,
-            prep_time=self.prep_time,
-            asm_time=self.asm_time,
-            failed=failed_total,
-            faults=fault_stats,
-            extra={
-                "sharding": cluster.policy.describe(),
-                "shards": cluster.num_shards,
-                "replication": cluster.replication,
-                "modules_per_rack": cluster.modules_per_rack,
-                **(
-                    {"adapt": self.adapt.summary()}
-                    if self.adapt is not None
-                    else {}
-                ),
-            },
-        )
+        return faults, {
+            "sharding": cluster.policy.describe(),
+            "shards": cluster.num_shards,
+            "replication": cluster.replication,
+            "modules_per_rack": cluster.modules_per_rack,
+        }

@@ -15,7 +15,7 @@ Entry points: ``python -m repro serve [--smoke]`` and
 """
 
 from .scheduler import (
-    AdaptiveController,
+    BatchTuner,
     ContinuousBatchingScheduler,
     SchedDecision,
     SchedulerPolicy,
@@ -33,7 +33,7 @@ from .slo import (
 from .trace import Operation, Trace, make_trace, trace_from_stream
 
 __all__ = [
-    "AdaptiveController",
+    "BatchTuner",
     "ContinuousBatchingScheduler",
     "SchedDecision",
     "SchedulerPolicy",

@@ -85,7 +85,10 @@ def answers_digest(report: ServiceReport) -> str:
 
     Two runs with equal digests answered every (seq, kind) identically
     — the pipelined-vs-sequential equivalence check, reduced to a
-    16-hex-char string the JSON report can carry.
+    16-hex-char string the JSON report can carry.  Failed ops are
+    excluded (availability is reported separately), so fault-free runs
+    of one trace share a digest across policies, shard counts and
+    adapt settings; the cluster and adapt benches reuse it.
     """
     rows = sorted(
         (c.seq, c.kind, c.reply) for c in report.completed if c.ok

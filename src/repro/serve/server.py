@@ -44,6 +44,14 @@ after them is identical.  Epoch *composition* may therefore differ from
 the sequential schedule, but every schedule cuts arrival-order
 prefixes, so replies stay byte-identical to :func:`replay_direct`.
 
+**One loop, two executors.**  :meth:`EpochServer.run` is the only
+epoch event loop: admission (:func:`decide_cut`), the sequential and
+pipelined clock, the hazard rule, the per-epoch records and the
+``adaptive:*`` :class:`~repro.serve.scheduler.BatchTuner` live there
+once.  What an epoch does to the index goes through small executor
+hooks; :class:`repro.cluster.ClusterService` overrides them to fan
+each epoch out through a cluster router.
+
 Replies are demultiplexed back to per-op :class:`CompletedOp` records
 stamped with launch/completion times and three latency readings
 (simulated units, IO rounds, wall-clock); see :mod:`repro.serve.slo`.
@@ -65,17 +73,14 @@ system: the fault path adds one attribute check per epoch.
 from __future__ import annotations
 
 import time as _time
+from types import SimpleNamespace
 from typing import Any, Callable, Optional, Sequence
 
 from ..core import PIMTrie
 from ..faults import RoundAborted, recover
 from ..obs.tracer import maybe_span
 from ..pim import MetricsSnapshot
-from .scheduler import (
-    AdaptiveController,
-    ContinuousBatchingScheduler,
-    SchedulerPolicy,
-)
+from .scheduler import BatchTuner, ContinuousBatchingScheduler, SchedulerPolicy
 from .slo import OP_FAILED, CompletedOp, EpochRecord, ServiceReport
 from .trace import Operation, Trace
 
@@ -83,6 +88,7 @@ __all__ = [
     "EpochServer",
     "decide_cut",
     "execute_segment",
+    "grouped_by_param",
     "replay_direct",
     "segments",
 ]
@@ -133,27 +139,40 @@ def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
         return trie.successor_batch([o.key for o in ops])
     if kind == "count":
         return trie.prefix_count_batch([o.key for o in ops])
-    if kind in ("range", "topk"):
-        # the per-op limit / k rides in the value (range ops carry
-        # ``(hi, limit)``, topk ops carry ``k``); same-parameter ops are
-        # grouped onto one batch call each.  Grouping is invisible in
-        # the metrics — ordered reads are host-side and run zero PIM
-        # rounds regardless of how they are batched.
-        out: list[Any] = [None] * len(ops)
-        groups: dict[Any, list[int]] = {}
-        for i, o in enumerate(ops):
-            extra = o.value[1] if kind == "range" else o.value
-            groups.setdefault(extra, []).append(i)
-        for extra, idxs in groups.items():
-            if kind == "range":
-                bounds = [(ops[i].key, ops[i].value[0]) for i in idxs]
-                sub = trie.range_batch(bounds, limit=extra)
-            else:
-                sub = trie.topk_batch([ops[i].key for i in idxs], extra)
-            for j, i in enumerate(idxs):
-                out[i] = sub[j]
-        return out
+    if kind == "range":
+        return grouped_by_param(
+            kind, ops, lambda bounds, limit: trie.range_batch(bounds, limit=limit)
+        )
+    if kind == "topk":
+        return grouped_by_param(kind, ops, trie.topk_batch)
     raise ValueError(f"unknown op kind {kind!r}")
+
+
+def grouped_by_param(
+    kind: str, ops: list[Operation], call: Callable[[list[Any], Any], list[Any]]
+) -> list[Any]:
+    """Run a ``range`` / ``topk`` segment as one call per parameter.
+
+    The per-op limit / k rides in the value (range ops carry
+    ``(hi, limit)``, topk ops carry ``k``); same-parameter ops are
+    grouped onto one ``call(keys, param)`` each, where ``keys`` are
+    ``(lo, hi)`` bound pairs for range and prefixes for topk.  Replies
+    come back in segment order.  Grouping is invisible in the metrics —
+    ordered reads are host-side and run zero PIM rounds regardless of
+    how they are batched.
+    """
+    out: list[Any] = [None] * len(ops)
+    groups: dict[Any, list[int]] = {}
+    for i, o in enumerate(ops):
+        groups.setdefault(o.value[1] if kind == "range" else o.value, []).append(i)
+    for param, idxs in groups.items():
+        keys = [
+            (ops[i].key, ops[i].value[0]) if kind == "range" else ops[i].key
+            for i in idxs
+        ]
+        for i, reply in zip(idxs, call(keys, param)):
+            out[i] = reply
+    return out
 
 
 def decide_cut(
@@ -165,12 +184,12 @@ def decide_cut(
 ) -> float:
     """Pick the next epoch's cut time; admit the arrivals preceding it.
 
-    Shared by :class:`EpochServer` and ``repro.cluster.ClusterService``
-    so both event loops implement one audited admission boundary.
-    ``idx`` is a one-element list holding the next-unprocessed-arrival
-    index (``admit`` advances it); ``ready`` is the earliest time this
-    executor could start an epoch (previous completion when sequential,
-    pipeline-stage availability when pipelined).
+    The admission boundary of :meth:`EpochServer.run`, and so of every
+    executor running on that loop.  ``idx`` is a one-element list
+    holding the next-unprocessed-arrival index (``admit`` advances it);
+    ``ready`` is the earliest time this executor could start an epoch
+    (previous completion when sequential, pipeline-stage availability
+    when pipelined).
 
     Admission is *lazy* — arrivals are pulled from the trace only as
     the decision needs them — but the boundary is exact: every arrival
@@ -209,7 +228,15 @@ def decide_cut(
 
 
 class EpochServer:
-    """Continuous-batching service frontend over one :class:`PIMTrie`."""
+    """Continuous-batching service frontend over one :class:`PIMTrie`.
+
+    :meth:`run` is the one epoch event loop.  What it does to the
+    index is delegated to small executor hooks — ``_degraded``,
+    ``_begin_epoch``, ``_run_segment``, ``_end_epoch``, ``_mark`` /
+    ``_delta`` / ``_measure``, ``_adapt_step`` and ``_report_fields`` —
+    which :class:`repro.cluster.ClusterService` overrides to fan each
+    epoch out through a cluster router.
+    """
 
     def __init__(
         self,
@@ -232,7 +259,6 @@ class EpochServer:
         if prep_time < 0 or asm_time < 0:
             raise ValueError("host-phase costs must be >= 0")
         self.trie = trie
-        self.system = trie.system
         self.policy = policy
         self.round_time = round_time
         self.word_time = word_time
@@ -247,11 +273,18 @@ class EpochServer:
         #: triggered them)
         self.adapt = adapt
 
+    @property
+    def system(self) -> Any:
+        """The traced PIM system: epoch, phase and sched spans land here."""
+        return self.trie.system
+
     # ------------------------------------------------------------------
     def service_time(self, delta: MetricsSnapshot) -> float:
         """Simulated module-round duration of an epoch's metrics delta."""
         return self.round_time * delta.io_rounds + self.word_time * delta.io_time
 
+    # ------------------------------------------------------------------
+    # executor hooks
     # ------------------------------------------------------------------
     def _degraded(self) -> bool:
         """Is the index currently healing (crashed or dirty state)?"""
@@ -277,8 +310,15 @@ class EpochServer:
             if snap is not None:
                 snap()
 
+    def _begin_epoch(self, ep: SimpleNamespace) -> None:
+        """Proactive recovery: heal crashes left over from a previous
+        epoch before launching new work (its rounds land in this epoch's
+        metrics delta, and therefore its service time)."""
+        if self._degraded():
+            ep.recovery_rounds += recover(self.trie)
+
     def _run_segment(
-        self, kind: str, ops: list[Operation], ep: dict
+        self, kind: str, ops: list[Operation], ep: SimpleNamespace
     ) -> list[Any]:
         """Execute one segment, recovering and retrying on aborts.
 
@@ -297,16 +337,62 @@ class EpochServer:
                     return execute_segment(self.trie, kind, ops)
             except RoundAborted as e:
                 attempt += 1
-                ep["causes"].append(e.cause)
+                ep.causes.append(e.cause)
                 inj = getattr(self.system, "faults", None)
                 if inj is not None:
                     inj.stats.retries += 1
-                ep["recovery_rounds"] += recover(self.trie)
+                ep.recovery_rounds += recover(self.trie)
                 if attempt > self.max_retries:
-                    ep["failed"] += len(ops)
                     return [OP_FAILED] * len(ops)
-                ep["retries"] += 1
-                ep["backoff"] += self.retry_backoff * 2.0 ** (attempt - 1)
+                ep.retries += 1
+                ep.backoff += self.retry_backoff * 2.0 ** (attempt - 1)
+
+    def _end_epoch(self, ep: SimpleNamespace) -> None:
+        """Work due after the last segment (none on a single trie)."""
+
+    def _adapt_step(self, ep: SimpleNamespace) -> bool:
+        """Step adaptive maintenance; True iff it changed placement.
+
+        An abort mid-maintenance heals like any other fault — answers
+        are placement-invariant either way.
+        """
+        try:
+            stats = self.adapt.step()
+        except RoundAborted as e:
+            ep.causes.append(e.cause)
+            ep.recovery_rounds += recover(self.trie)
+            return False
+        return bool(stats.get("actions"))
+
+    def _mark(self) -> Any:
+        """A measurement point for :meth:`_delta` / :meth:`_measure`."""
+        return self.system.snapshot()
+
+    def _delta(self, mark: Any) -> MetricsSnapshot:
+        """PIM Model metrics consumed since ``mark``."""
+        return self.system.snapshot().delta(mark)
+
+    def _measure(
+        self, mark: Any, ep: SimpleNamespace
+    ) -> tuple[MetricsSnapshot, float]:
+        """The epoch's metrics delta and its module-round duration:
+        the delta's service time plus straggler penalties accrued by the
+        injector and retry backoff."""
+        delta = self._delta(mark)
+        inj = getattr(self.system, "faults", None)
+        ep.straggle = inj.take_straggle_penalty() if inj is not None else 0.0
+        return delta, (
+            self.service_time(delta) + ep.straggle * self.round_time
+            + ep.backoff
+        )
+
+    def _report_fields(self, epochs: list[EpochRecord]) -> tuple[dict, dict]:
+        """``(faults, extra)`` for the report: injector counters (empty
+        on a fault-free run) and executor-specific extras."""
+        inj = getattr(self.system, "faults", None)
+        if inj is not None and inj.stats.any_faults():
+            return inj.stats.as_dict(), {}
+        return {}, {}
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> ServiceReport:
@@ -315,9 +401,7 @@ class EpochServer:
         n = len(ops)
         policy = self.policy
         sched = ContinuousBatchingScheduler(policy)
-        controller = (
-            AdaptiveController(policy, sched) if policy.adaptive else None
-        )
+        tuner = BatchTuner(policy, sched) if policy.adaptive else None
 
         completed: list[CompletedOp] = []
         epochs: list[EpochRecord] = []
@@ -332,14 +416,14 @@ class EpochServer:
         # began), module_free is when the modules finish their current
         # epoch, hazard_until enforces the write-hazard drain rule: it
         # marks when the last *mutating* epoch's rounds end, and a prep
-        # that would read trie state (an ordered-snapshot prewarm) must
+        # that would read index state (an ordered-snapshot prewarm) must
         # not start before it.  Prep that only groups the op list reads
         # no index state and overlaps mutating epochs freely.
         host_free = 0.0
         module_free = 0.0
         hazard_until = 0.0
         idx = [0]  # next unprocessed arrival (boxed for decide_cut)
-        before_all = self.system.snapshot()
+        mark_all = self._mark()
 
         def admit(op: Operation) -> None:
             if sched.admit(op, degraded=self._degraded()):
@@ -354,7 +438,7 @@ class EpochServer:
                 continue
 
             # the drain applies only when the upcoming prep will read
-            # trie state — i.e. the queue holds ordered-kind ops whose
+            # index state — i.e. the queue holds ordered-kind ops whose
             # snapshot the prep would prewarm
             reads_state = self.pipelined and any(
                 op.kind in ORDERED_KINDS for op in sched.pending
@@ -368,20 +452,21 @@ class EpochServer:
             prep_dur = self.prep_time * len(batch)
             asm_dur = self.asm_time * len(batch)
 
-            before = self.system.snapshot()
+            mark = self._mark()
             t0 = _time.perf_counter()
-            ep = {"retries": 0, "recovery_rounds": 0, "failed": 0,
-                  "backoff": 0.0, "causes": []}
+            ep = SimpleNamespace(
+                index=len(epochs), causes=[], retries=0, recovery_rounds=0,
+                backoff=0.0, straggle=0.0, adapted=False,
+            )
             obs = getattr(self.system, "obs", None)
             ep_span = (
                 obs.begin(
-                    f"epoch:{len(epochs)}", cat="epoch",
+                    f"epoch:{ep.index}", cat="epoch",
                     size=len(batch), queue_depth=depth,
                 )
                 if obs is not None
                 else None
             )
-            mutated = False
             try:
                 # ---- host prep phase: segment grouping + (pipelined)
                 # ordered-snapshot prewarm against pre-epoch state
@@ -401,35 +486,16 @@ class EpochServer:
                 with maybe_span(
                     self.system, "epoch.rounds", cat="phase", ops=len(batch)
                 ):
-                    # proactive recovery: heal crashes left over from a
-                    # previous epoch before launching new work (its
-                    # rounds land in this epoch's metrics delta, and
-                    # therefore its service time)
-                    if self._degraded():
-                        ep["recovery_rounds"] += recover(self.trie)
-                        mutated = True
+                    self._begin_epoch(ep)
                     replies: list[Any] = []
-                    kinds: list[str] = []
                     for kind, seg in segs:
-                        kinds.append(kind)
-                        if kind in WRITE_KINDS:
-                            mutated = True
                         replies.extend(self._run_segment(kind, seg, ep))
+                    self._end_epoch(ep)
                     if self.adapt is not None:
                         # adaptive maintenance rides the epoch it reacts
                         # to: its rounds land in this delta and service
-                        # time.  An abort mid-maintenance heals like any
-                        # other fault — answers are placement-invariant
-                        # either way.
-                        try:
-                            stats = self.adapt.step()
-                        except RoundAborted as e:
-                            ep["causes"].append(e.cause)
-                            ep["recovery_rounds"] += recover(self.trie)
-                            mutated = True
-                        else:
-                            if stats.get("actions"):
-                                mutated = True
+                        # time
+                        ep.adapted = self._adapt_step(ep)
                 # ---- host assemble phase: reply demultiplexing (the
                 # zip below); zero metrics delta, costed via asm_time
                 with maybe_span(
@@ -440,18 +506,12 @@ class EpochServer:
             finally:
                 if ep_span is not None:
                     obs.end(ep_span)
-            if ep["recovery_rounds"] or ep["retries"] or ep["failed"]:
-                mutated = True  # any recovery path rebuilt state
             wall = _time.perf_counter() - t0
-            delta = self.system.snapshot().delta(before)
+            delta, module = self._measure(mark, ep)
+            kinds = tuple(kind for kind, _ in segs)
+            failed = sum(1 for r in replies if r is OP_FAILED)
+            failed_total += failed
 
-            inj = getattr(self.system, "faults", None)
-            straggle = inj.take_straggle_penalty() if inj is not None else 0.0
-            module = (
-                self.service_time(delta)
-                + straggle * self.round_time
-                + ep["backoff"]
-            )
             if self.pipelined:
                 rounds_start = max(cut + prep_dur, module_free)
                 completion = rounds_start + module + asm_dur
@@ -459,33 +519,38 @@ class EpochServer:
                 # the epoch leaves the host stage when the modules
                 # accept it; the host may then cut the next epoch
                 host_free = rounds_start
-                if mutated:
-                    # trie state is final when the rounds end (assembly
-                    # only shuffles replies) — that is what a
-                    # state-reading prep must wait for
+                if (
+                    WRITE_KINDS.intersection(kinds) or ep.causes
+                    or ep.recovery_rounds or ep.retries or failed
+                    or ep.adapted
+                ):
+                    # the epoch mutated index state (a write, fault
+                    # recovery, a retry, or adaptive maintenance); it is
+                    # final when the rounds end (assembly only shuffles
+                    # replies) — that is what a state-reading prep must
+                    # wait for
                     hazard_until = module_free
             else:
                 rounds_start = cut + prep_dur
                 completion = rounds_start + module + asm_dur
                 host_free = completion
-            service = completion - cut
-            failed_total += ep["failed"]
             cum_rounds += delta.io_rounds
             cum_wall += wall
             epochs.append(
                 EpochRecord(
-                    index=len(epochs), launch=cut, service=service,
+                    index=ep.index, launch=cut, service=completion - cut,
                     completion=completion, size=len(batch),
-                    kinds=tuple(kinds), queue_depth=depth,
+                    kinds=kinds, queue_depth=depth,
                     io_rounds=delta.io_rounds, io_time=delta.io_time,
                     communication=delta.total_communication,
                     pim_time=delta.pim_time, wall_seconds=wall,
                     degraded=bool(
-                        ep["causes"] or ep["recovery_rounds"] or straggle > 0
+                        ep.causes or ep.recovery_rounds or failed
+                        or ep.straggle > 0
                     ),
-                    retries=ep["retries"],
-                    recovery_rounds=ep["recovery_rounds"],
-                    causes=tuple(ep["causes"]),
+                    retries=ep.retries,
+                    recovery_rounds=ep.recovery_rounds,
+                    causes=tuple(ep.causes),
                     span_id=ep_span.sid if ep_span is not None else None,
                     prep=prep_dur, asm=asm_dur, rounds_start=rounds_start,
                 )
@@ -497,16 +562,16 @@ class EpochServer:
                     CompletedOp(
                         seq=op.seq, client_id=op.client_id, kind=op.kind,
                         arrival=op.time, launch=cut,
-                        completion=completion, epoch=len(epochs) - 1,
+                        completion=completion, epoch=ep.index,
                         reply=reply,
                         latency_rounds=cum_rounds - rounds_at_admit[op.seq],
                         wall_seconds=cum_wall - wall_at_admit[op.seq],
                         ok=reply is not OP_FAILED,
                     )
                 )
-            if controller is not None:
-                decision = controller.observe(
-                    epoch=len(epochs) - 1, cut=cut, queue_depth=depth,
+            if tuner is not None:
+                decision = tuner.observe(
+                    epoch=ep.index, cut=cut, queue_depth=depth,
                     size=len(batch), io_rounds=delta.io_rounds,
                     latencies=latencies, prep=prep_dur, rounds=module,
                     asm=asm_dur,
@@ -521,18 +586,11 @@ class EpochServer:
                     ):
                         pass
 
-        metrics = self.system.snapshot().delta(before_all)
-        inj = getattr(self.system, "faults", None)
-        fault_stats = (
-            inj.stats.as_dict()
-            if inj is not None and inj.stats.any_faults()
-            else {}
-        )
-        extra: dict[str, Any] = {}
+        faults, extra = self._report_fields(epochs)
         if self.adapt is not None:
             extra["adapt"] = self.adapt.summary()
-        if controller is not None:
-            extra["sched"] = controller.summary()
+        if tuner is not None:
+            extra["sched"] = tuner.summary()
         return ServiceReport(
             policy=policy.describe(),
             trace=trace.name,
@@ -540,12 +598,12 @@ class EpochServer:
             completed=completed,
             dropped=len(sched.dropped),
             epochs=epochs,
-            metrics=metrics,
+            metrics=self._delta(mark_all),
             round_time=self.round_time,
             word_time=self.word_time,
             max_batch=policy.max_batch,
             failed=failed_total,
-            faults=fault_stats,
+            faults=faults,
             extra=extra,
             pipelined=self.pipelined,
             prep_time=self.prep_time,

@@ -3,7 +3,9 @@
 Every public batch entry point checks its batch in one O(batch)
 ``isinstance`` pass and raises ``TypeError`` naming the operation, the
 offending index and its type — before any span opens or round runs, so
-a rejected batch leaves the metrics and the key set untouched.
+a rejected batch leaves the metrics and the key set untouched.  The
+:class:`PIMCluster` router raises the same errors at its one entry
+point, before routing a key to any rack.
 """
 
 import pytest
@@ -71,3 +73,37 @@ def test_valid_batches_still_pass():
     assert trie.range_batch([[KEYS[0], KEYS[2]]]) == [
         [(k, i) for i, k in enumerate(KEYS[:3])]
     ]
+
+
+# ----------------------------------------------------------------------
+# the cluster router checks at its single entry, before any routing
+def make_cluster():
+    from repro.cluster import HashSharding, PIMCluster
+
+    return PIMCluster(HashSharding(2), replication=2, modules_per_rack=P,
+                      root_seed=3, keys=KEYS, values=list(range(len(KEYS))))
+
+
+#: router surface -> call with a bad element (same call on a trie)
+CLUSTER_CALLS = {
+    "keys": lambda t: t.delete_batch([GOOD, 5]),
+    "insert-values": lambda t: t.insert_batch(["abc"], [1]),
+    "range-bounds": lambda t: t.range_batch([(GOOD, GOOD), (GOOD, "z")], 2),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(CLUSTER_CALLS))
+def test_cluster_raises_the_trie_error_and_changes_nothing(surface):
+    call = CLUSTER_CALLS[surface]
+    with pytest.raises(TypeError) as trie_err:
+        call(make_trie())
+    cluster = make_cluster()
+    before = {uid: s.as_dict(include_per_module=True)
+              for uid, s in cluster.mark().items()}
+    with pytest.raises(TypeError) as cluster_err:
+        call(cluster)
+    assert str(cluster_err.value) == str(trie_err.value)
+    assert {uid: s.as_dict(include_per_module=True)
+            for uid, s in cluster.mark().items()} == before
+    assert cluster.keys() == KEYS
+    cluster.validate()
